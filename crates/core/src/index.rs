@@ -25,7 +25,7 @@
 //! what makes the scan sublinear when the history clusters. Within the
 //! probe's own ring (offset zero) candidates are visited in ascending
 //! global index, so a perfect match terminates at the **earliest** equal
-//! slot, preserving the first-minimum tie-break of the linear scans
+//! slot, preserving the first-minimum tie-break of the serial scan
 //! bit-for-bit.
 //!
 //! The index is maintained incrementally alongside the predictor's
@@ -55,18 +55,17 @@ use std::collections::BTreeSet;
 /// Whether (and how) the predictor's nearest-slot search uses the
 /// vantage-point metric index.
 ///
-/// Like [`crate::predictor::ParallelismPolicy`] this is purely a
-/// performance knob: the indexed search returns bit-identical forecasts to
-/// the serial and chunked scans at any configuration, because the triangle
-/// inequality only ever *refutes* candidates. When both an index policy and
-/// a parallelism policy are active, an eligible history takes the indexed
-/// path (its pruning strictly dominates fanning the linear scan out).
+/// This is purely a performance knob: the indexed search returns
+/// bit-identical forecasts to the serial best-first scan at any
+/// configuration, because the triangle inequality only ever *refutes*
+/// candidates. Histories shorter than [`IndexPolicy::min_indexed_slots`]
+/// and linear policies take the serial scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IndexPolicy {
     /// Number of pivot slots (`0` disables the index entirely).
     pub pivots: usize,
     /// Minimum retained history length before the index is first built.
-    /// Below it the linear scans win: the per-probe pivot distances cost
+    /// Below it the serial scan wins: the per-probe pivot distances cost
     /// more than they prune.
     pub min_indexed_slots: usize,
 }
@@ -75,8 +74,9 @@ impl IndexPolicy {
     /// Default pivot count: enough for drifted populations to separate,
     /// cheap enough that per-probe pivot distances stay negligible.
     pub const DEFAULT_PIVOTS: usize = 4;
-    /// Default build threshold, aligned with
-    /// [`crate::predictor::ParallelismPolicy::DEFAULT_MIN_PARALLEL_SLOTS`].
+    /// Default build threshold: small histories scan serially in
+    /// microseconds, where maintaining the index on every observe would
+    /// cost more than it saves.
     pub const DEFAULT_MIN_INDEXED_SLOTS: usize = 4096;
 
     /// The linear policy (the default): never build the index.

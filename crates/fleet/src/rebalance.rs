@@ -287,11 +287,7 @@ impl Rebalancer {
             .iter()
             .enumerate()
             .filter(|(_, &(_, load))| load > 0.0 && loads[cold] + load < loads[hot])
-            .max_by(|(_, a), (_, b)| {
-                a.1.partial_cmp(&b.1)
-                    .expect("load EWMAs are finite")
-                    .then(b.0.cmp(&a.0))
-            });
+            .max_by(|(_, a), (_, b)| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)));
         let (at, &(tenant, load)) = candidate?;
         movable[hot].remove(at);
         movable[cold].push((tenant, load));

@@ -42,9 +42,9 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"MCAS";
 ///
 /// Versioning policy: the format is rigid within a version — readers reject
 /// any other version outright ([`SnapshotError::UnsupportedVersion`]) rather
-/// than guessing at field offsets. Additive evolution bumps the version and
-/// teaches the reader both layouts.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// than guessing at field offsets. Any payload layout change bumps the
+/// version; `docs/snapshot.md` logs what each version changed.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
 /// The reserved end-of-stream section tag.
 pub const END_TAG: u16 = 0xFFFF;

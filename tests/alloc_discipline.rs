@@ -1,33 +1,41 @@
 //! Allocation-discipline gate for the nearest-slot scan: once a predictor
 //! is warm, one prediction must allocate only a small constant number of
 //! times (the forecast itself plus the per-probe scratch), **independent of
-//! the history length** — the scan reuses one `DistanceScratch` per chunk
+//! the history length** — the scan reuses one `DistanceScratch` per query
 //! (and per index probe) instead of allocating per candidate.
 //!
-//! This lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! This lives in its own integration-test binary because it installs a
+//! counting `#[global_allocator]`. The counter is per thread: every scan
+//! path runs on the calling thread, so a measurement sees exactly its own
+//! allocations and never those of the test harness or of tests running
+//! concurrently on other threads.
 
-use mobile_code_acceleration::core::{
-    DistanceKind, IndexPolicy, ParallelismPolicy, WorkloadPredictor,
-};
+use mobile_code_acceleration::core::{DistanceKind, IndexPolicy, WorkloadPredictor};
 use mobile_code_acceleration::offload::{AccelerationGroupId, UserId};
 use mobile_code_acceleration::prelude::TimeSlot;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// The allocation counter is process-wide, so concurrently running tests
-/// would inflate each other's measurements; every measured section holds
-/// this lock.
-static MEASURE_LOCK: Mutex<()> = Mutex::new(());
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Const-initialised and
+    /// drop-free, so touching it from inside the allocator never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
 
+fn count_allocation() {
+    // `try_with` rather than `with`: an allocation during thread teardown
+    // must not panic inside the allocator
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// counting touches only a const-initialised thread-local `Cell` and never
+// allocates or unwinds.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -36,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,10 +52,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// Allocations the calling thread makes while running `body`.
 fn allocations_during(mut body: impl FnMut()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     body();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 const GROUPS: [AccelerationGroupId; 3] = [
@@ -86,7 +95,6 @@ fn warmed_predictor(
 fn steady_state_allocations(
     configure: impl Fn(WorkloadPredictor) -> WorkloadPredictor + Copy,
 ) -> (usize, usize) {
-    let _serialized = MEASURE_LOCK.lock().expect("no poisoned measurements");
     let measure = |slots: usize| {
         let predictor = warmed_predictor(slots, configure);
         let probe = drifting_slot(slots, 24);
@@ -109,25 +117,6 @@ fn serial_set_edit_scan_allocates_a_small_constant() {
         large <= small + 8,
         "allocations grew with history length ({small} at 500 slots, {large} at 2000): \
          the scan is allocating per candidate"
-    );
-}
-
-#[test]
-fn chunked_scan_reuses_one_scratch_per_chunk() {
-    let configure = |p: WorkloadPredictor| {
-        p.with_parallelism(ParallelismPolicy::parallel(4).with_min_parallel_slots(1))
-    };
-    let (small, large) = steady_state_allocations(configure);
-    // 4 chunks: one scratch (a handful of buffers) per chunk plus rayon's
-    // own join bookkeeping — still a constant, never per candidate
-    assert!(
-        small < 160,
-        "one warmed chunked prediction allocated {small} times; expected a per-chunk constant"
-    );
-    assert!(
-        large <= small + 32,
-        "chunked-scan allocations grew with history length ({small} at 500 slots, {large} at \
-         2000): a chunk is allocating per candidate"
     );
 }
 
